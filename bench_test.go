@@ -375,36 +375,46 @@ func flowBenchSim() core.SimParams {
 // BenchmarkFlowSolve times one analytical load point on the full radix-16
 // system (1312 chips), cold (route-trace cache discarded every solve) vs
 // warm (traces reused across Reset — the build-once/measure-many sweep
-// configuration). The warm/cold ratio is the cache's per-point win.
+// configuration). The warm/cold ratio is the cache's per-point win. The
+// saturated variant is a warm worst-case point past the knee (~0.031),
+// where every solve runs the full 24 waterfill rounds, so it times the
+// waterfill kernel.
 func BenchmarkFlowSolve(b *testing.B) {
 	cfg := core.Config{Kind: core.SwitchlessDragonfly, SLDF: core.Radix16SLDF(),
 		Seed: 1, Workers: 1}
 	for _, mode := range []struct {
-		name string
-		cold bool
-	}{{"cold", true}, {"warm", false}} {
+		name    string
+		pattern string
+		rate    float64
+		cold    bool
+	}{
+		{"cold", "uniform", 0.5, true},
+		{"warm", "uniform", 0.5, false},
+		{"saturated", "worst-case", 0.1, false},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys, err := core.Build(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer sys.Close()
-			pat, _ := sys.PatternFor("uniform")
+			pat, _ := sys.PatternFor(mode.pattern)
 			sp := flowBenchSim()
 			sp.FlowCold = mode.cold
-			if _, err := sys.MeasureLoad(pat, 0.5, sp); err != nil {
+			if _, err := sys.MeasureLoad(pat, mode.rate, sp); err != nil {
 				b.Fatal(err) // populate the cache (and retained buffers) once
 			}
 			sys.Reset()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.MeasureLoad(pat, 0.5, sp); err != nil {
+				if _, err := sys.MeasureLoad(pat, mode.rate, sp); err != nil {
 					b.Fatal(err)
 				}
 				sys.Reset()
 			}
 			fs := sys.Net.FlowSolverStats()
 			b.ReportMetric(float64(fs.Traces)/float64(fs.Solves), "traces/solve")
+			b.ReportMetric(float64(fs.WaterfillIters)/float64(fs.Solves), "rounds/solve")
 		})
 	}
 }

@@ -69,7 +69,6 @@ func main() {
 
 		flowPar  = flag.Int("flowpar", 0, "flow engine: parallel trace/waterfill workers per point (0 = serial; CSV identical for any value)")
 		flowCold = flag.Bool("flowcold", false, "flow engine: re-trace every route at every point (CSV identical, for timing baselines)")
-		flowSeed = flag.Bool("flowseed", false, "flow engine: warm-start waterfill throttles from the adjacent point (APPROXIMATE: partitions the point cache)")
 	)
 	prof := profiling.Flags()
 	flag.Parse()
@@ -95,7 +94,6 @@ func main() {
 	}
 	sp.FlowWorkers = *flowPar
 	sp.FlowCold = *flowCold
-	sp.FlowSeedThrottles = *flowSeed
 
 	opts := core.RunOptions{Jobs: *jobs}
 	var diskCache *campaign.Cache

@@ -41,7 +41,6 @@ func main() {
 
 		flowPar   = flag.Int("flowpar", 0, "flow engine: parallel trace/waterfill workers (0 = serial; results identical for any value)")
 		flowCold  = flag.Bool("flowcold", false, "flow engine: discard the route-trace cache before the solve (results identical, for timing baselines)")
-		flowSeed  = flag.Bool("flowseed", false, "flow engine: seed waterfill throttles from the previous solve (APPROXIMATE: results may differ)")
 		flowStats = flag.Bool("flowstats", false, "flow engine: print cumulative solver statistics (traces, cache hits, phase walls) after the run")
 	)
 	prof := profiling.Flags()
@@ -145,7 +144,6 @@ func main() {
 	}
 	sp.FlowWorkers = *flowPar
 	sp.FlowCold = *flowCold
-	sp.FlowSeedThrottles = *flowSeed
 	if *printKey {
 		// The same (config, pattern, rate, window) measured by a sweep —
 		// locally or on a worker daemon — stores its point under this key.

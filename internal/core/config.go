@@ -128,11 +128,11 @@ type SimParams struct {
 	// solve, forcing cold-start behavior. Results are identical either way;
 	// the knob exists for benchmarking and equivalence harnesses.
 	FlowCold bool //sldf:keyignore execution knob; cold and warm caches solve to identical bits
-	// FlowSeedThrottles warm-starts the flow waterfill from the adjacent
-	// point's solution. APPROXIMATE (see netsim.FlowOptions.SeedThrottles):
-	// unlike the other flow knobs it can shift results, so it is reflected
-	// in point cache keys and should only be enabled for exploratory sweeps.
-	FlowSeedThrottles bool
+	// FlowSeedThrottles is retired: a flow measurement with it set fails
+	// with netsim.ErrSeedThrottlesRetired (see
+	// netsim.FlowOptions.SeedThrottles). The field stays so existing
+	// callers keep compiling.
+	FlowSeedThrottles bool //sldf:keyignore retired; a flow solve with it set fails with ErrFlowEngine, and cycle engines never read it
 }
 
 // ParseEngine maps a CLI -engine value to its kind. The empty string is

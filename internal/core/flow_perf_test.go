@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"sldf/internal/netsim"
@@ -135,33 +135,65 @@ func TestFlowWarmSweepCacheEffect(t *testing.T) {
 	}
 }
 
-// TestFlowSeedThrottles covers the opt-in approximate warm start: it must
-// run, deliver a sane point, and partition the on-disk point cache (seeded
-// results may differ from cold ones, so they must never share a key).
-func TestFlowSeedThrottles(t *testing.T) {
-	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7, Workers: 1}
-	cfg.SLDF.G = 1
-	sp := QuickSim()
-	sp.FlowSeedThrottles = true
-	res, _ := measureFlowSeries(t, cfg, "uniform", []float64{0.3, 0.4}, sp)
-	for _, r := range res {
-		if r.Stats.DeliveredPkts == 0 || r.Point.Latency <= 0 {
-			t.Fatalf("vacuous seeded point %+v", r.Point)
+// TestFlowThroughputMonotone is the property the retired throttle seeding
+// broke: below saturation, flow throughput never falls as the offered rate
+// rises, on all four system kinds, with warm and cold route caches. The
+// grid must also actually climb, so a solver that pins every point at the
+// first point's throughput fails too.
+func TestFlowThroughputMonotone(t *testing.T) {
+	rates := RateGrid(0.05, 0.3, 0.05)
+	for _, k := range collectiveKinds() {
+		for _, cold := range []bool{false, true} {
+			name := k.name + "/warm"
+			if cold {
+				name = k.name + "/cold"
+			}
+			t.Run(name, func(t *testing.T) {
+				sp := QuickSim()
+				sp.FlowCold = cold
+				res, _ := measureFlowSeries(t, k.cfg, "uniform", rates, sp)
+				for i := 1; i < len(res); i++ {
+					if prev, cur := res[i-1].Point.Throughput, res[i].Point.Throughput; cur < prev {
+						t.Errorf("throughput fell from %.4f @%.2f to %.4f @%.2f",
+							prev, rates[i-1], cur, rates[i])
+					}
+				}
+				first, last := res[0].Point.Throughput, res[len(res)-1].Point.Throughput
+				if rise, offered := last-first, rates[len(rates)-1]-rates[0]; rise < offered/2 {
+					t.Errorf("throughput rose only %.4f over an offered-rate rise of %.2f", rise, offered)
+				}
+			})
 		}
 	}
+}
+
+// TestFlowSeedThrottlesRetired pins the retired warm start: setting it
+// fails the flow measurement with a typed error instead of returning a
+// plausible wrong number, and no flow knob partitions the point cache.
+func TestFlowSeedThrottlesRetired(t *testing.T) {
+	cfg := Config{Kind: SwitchlessDragonfly, SLDF: Radix16SLDF(), Seed: 7, Workers: 1}
+	cfg.SLDF.G = 1
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pat, err := sys.PatternFor("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := QuickSim()
 	sp.Engine = netsim.EngineFlow
-	seeded := pointKey(cfg, "uniform", 0.4, sp)
-	sp.FlowSeedThrottles = false
-	if plain := pointKey(cfg, "uniform", 0.4, sp); seeded == plain {
-		t.Fatal("seeded and unseeded points share a cache key")
+	sp.FlowSeedThrottles = true
+	_, err = sys.MeasureLoad(pat, 0.3, sp)
+	if !errors.Is(err, netsim.ErrSeedThrottlesRetired) || !errors.Is(err, netsim.ErrFlowEngine) {
+		t.Fatalf("seeded flow measurement returned %v, want ErrSeedThrottlesRetired wrapping ErrFlowEngine", err)
 	}
-	if !strings.Contains(seeded, "flowseed") {
-		t.Fatalf("seeded key %q lacks the flowseed marker", seeded)
-	}
-	// FlowWorkers and FlowCold are result-neutral and must NOT partition.
-	par := sp
-	par.FlowWorkers, par.FlowCold = 8, true
-	if pointKey(cfg, "uniform", 0.4, par) != pointKey(cfg, "uniform", 0.4, sp) {
-		t.Fatal("execution-only flow knobs changed the point cache key")
+	plain := sp
+	plain.FlowSeedThrottles = false
+	knobs := plain
+	knobs.FlowWorkers, knobs.FlowCold, knobs.FlowSeedThrottles = 8, true, true
+	if pointKey(cfg, "uniform", 0.4, knobs) != pointKey(cfg, "uniform", 0.4, plain) {
+		t.Fatal("flow execution knobs changed the point cache key")
 	}
 }

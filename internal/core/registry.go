@@ -243,7 +243,7 @@ func applyEngineOverride(plan *ExperimentPlan, engine netsim.EngineKind) {
 // FlowMakespan, which shares the network's trace cache automatically and
 // has no per-case window parameters to override.
 func applyFlowOverride(plan *ExperimentPlan, opts RunOptions) {
-	if opts.FlowWorkers == 0 && !opts.FlowCold && !opts.FlowSeedThrottles {
+	if opts.FlowWorkers == 0 && !opts.FlowCold {
 		return
 	}
 	set := func(sp *SimParams) {
@@ -252,9 +252,6 @@ func applyFlowOverride(plan *ExperimentPlan, opts RunOptions) {
 		}
 		if opts.FlowCold {
 			sp.FlowCold = true
-		}
-		if opts.FlowSeedThrottles {
-			sp.FlowSeedThrottles = true
 		}
 	}
 	for i := range plan.Figures {

@@ -44,14 +44,12 @@ type RunOptions struct {
 	// Config.Churn. Resilience points are never cached, so the timeline
 	// cannot collide with cached churn-free points.
 	Churn topology.FaultTimeline
-	// FlowWorkers, FlowCold and FlowSeedThrottles override the flow solver's
-	// execution knobs on every measurement of a registry experiment plan
-	// (see the matching SimParams fields) — the -flowpar/-flowcold/-flowseed
-	// flags of the figure CLIs. FlowWorkers and FlowCold are result-neutral;
-	// FlowSeedThrottles is approximate and partitions the point cache.
-	FlowWorkers       int
-	FlowCold          bool
-	FlowSeedThrottles bool
+	// FlowWorkers and FlowCold override the flow solver's execution knobs
+	// on every measurement of a registry experiment plan (see the matching
+	// SimParams fields) — the -flowpar/-flowcold flags of the figure CLIs.
+	// Both are result-neutral.
+	FlowWorkers int
+	FlowCold    bool
 }
 
 // RateGrid returns the inclusive grid lo, lo+step, ..., hi using integer
@@ -153,11 +151,7 @@ func pointKey(cfg Config, patternKey string, rate float64, sp SimParams) string 
 		key += "|engine=" + sp.Engine.String()
 	}
 	// FlowWorkers and FlowCold are execution knobs (bit-identical results)
-	// and stay out of the key; throttle seeding changes the measurement, so
-	// seeded points get their own cache slot.
-	if sp.FlowSeedThrottles {
-		key += "|flowseed=1"
-	}
+	// and stay out of the key.
 	return key
 }
 

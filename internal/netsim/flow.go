@@ -31,19 +31,28 @@ package netsim
 //     (Packet.TraceRNG), making each trace a pure function of network
 //     state, safe to run concurrently and identical for any worker count.
 //   - The waterfill load pass runs element-major over a flow-incidence
-//     transpose: each element's load is a fixed-order reduction over its
-//     incident flows, so partitioning elements (or flows, for the throttle
-//     pass) across workers cannot change a single bit of the result.
+//     transpose: each element's load is a fixed-order reduction over the
+//     per-flow delivered rates, so partitioning elements (or flows, for the
+//     throttle pass) across workers cannot change a single bit of the result.
+//   - A waterfill round reads and refreshes only the over-capacity
+//     elements' loads; the rest are recomputed once, after the last round.
+//     Each round picks its shape from the work it would do: when the
+//     over-capacity elements' incidence count reaches the flow count, the
+//     round is dense — every worker sweeps its own flow range, with no
+//     worklist to build — and otherwise sparse, throttling a serially
+//     gathered candidate list. Both shapes compute the same bits (see
+//     waterfill).
+//   - Per-flow latencies are computed in parallel into a retained buffer and
+//     folded into the window totals serially in flow order.
 //
 // Serial and parallel solves are therefore bitwise identical; the knobs in
-// FlowOptions are pure execution controls — except SeedThrottles, which
-// warm-starts the waterfill from the previous solution and is documented
-// approximate.
+// FlowOptions are pure execution controls.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -87,11 +96,11 @@ type FlowOptions struct {
 	// re-trace. Results are identical with or without it; the knob exists
 	// for benchmarking and equivalence harnesses.
 	Cold bool
-	// SeedThrottles warm-starts the waterfill from the previous solve's
-	// throttles when the flow structure is unchanged (adjacent rate-grid
-	// points). APPROXIMATE: the monotone fixpoint can converge to a
-	// slightly different operating point than a cold start; keep it off
-	// when bit-reproducibility across invocation orders matters.
+	// SeedThrottles is retired: setting it makes SolveFlow fail with
+	// ErrSeedThrottlesRetired. Seeding throttles from the previous point
+	// capped every flow at that point's admitted rate, because the
+	// waterfill only ever lowers throttles. The field stays so existing
+	// callers keep compiling.
 	SeedThrottles bool
 }
 
@@ -106,6 +115,7 @@ type FlowStats struct {
 	Evicted           int64 // entries selectively evicted by churn batches
 	FullInvalidations int64 // cache-wide discards (SetRoute, faults, Cold)
 	WaterfillIters    int64 // waterfill rounds run
+	DenseRounds       int64 // of those, dense rounds that swept every flow
 	TransposeBuilds   int64 // flow-incidence transpose rebuilds
 
 	TraceWall     time.Duration // wall time tracing routes
@@ -115,6 +125,10 @@ type FlowStats struct {
 
 // ErrFlowEngine wraps flow-solver usage errors.
 var ErrFlowEngine = errors.New("netsim: flow engine")
+
+// ErrSeedThrottlesRetired is returned when FlowOptions.SeedThrottles is set.
+// It wraps ErrFlowEngine.
+var ErrSeedThrottlesRetired = fmt.Errorf("%w: SeedThrottles is retired (a seeded waterfill caps throughput at the previous point's admitted rate)", ErrFlowEngine)
 
 // flowMaxHops bounds route tracing; any SLDF/Dragonfly/mesh route is far
 // shorter, so hitting it means the routing function is cycling.
@@ -165,6 +179,16 @@ type traceResult struct {
 	hops   [NumHopClasses]uint16
 }
 
+// traceScratch is one tracing worker's scratch: the path buffer its traces
+// append to, and the phantom packet and RNG stream each trace reinitializes.
+// Keeping the packet and stream here, rather than on traceOne's stack, stops
+// them escaping to the heap through the RouteFunc call on every trace.
+type traceScratch struct {
+	buf []int32
+	pkt Packet
+	rng engine.RNG
+}
+
 // flowSolver is the network-owned solver state: the route-trace cache plus
 // every per-solve buffer, retained across solves (and Reset) so steady-state
 // campaign points allocate nothing. One load/capacity slot exists per link
@@ -181,6 +205,20 @@ type flowSolver struct {
 	ser        []float64 // per-element serialization cycles (queueing service time)
 	capSize    int32     // packet size cap/ser currently reflect (0 = stale)
 
+	// Dense per-flow vectors, in flow order. d[i] is flow i's delivered
+	// rate float64(rate*x), refreshed whenever its throttle changes, so load
+	// reductions read one compact array instead of gathering flowFlow
+	// records; the explicit conversion keeps the product from being fused
+	// into the sum. scale[i] collects flow i's worst capacity/load ratio
+	// during a waterfill round and is exactly 1 between rounds. lat holds
+	// the solved per-flow latencies.
+	d     []float64
+	scale []float64
+	lat   []float64
+	// wait is each element's M/D/1 waiting term at its solved load, so a
+	// flow's latency is its base plus one gather-sum along its path.
+	wait []float64
+
 	// Flow-incidence transpose (CSR): for element el, elemFlow[elemOff[el]:
 	// elemOff[el+1]] lists the incident flow indices in flow order. shape
 	// hashes the flow structure (and cache generation) the transpose was
@@ -190,14 +228,10 @@ type flowSolver struct {
 	elemFlow []int32
 	shape    uint64
 
-	// Previous solution for opt-in throttle seeding.
-	prevX, prevRate []float64
-	prevShape       uint64
-
 	// Pending-trace worklist and per-worker scratch.
 	pending   []int32
 	results   []traceResult
-	traceBufs [][]int32
+	traceWrk  []traceScratch
 	traceNext atomic.Int64
 	traceSize int32
 
@@ -206,18 +240,12 @@ type flowSolver struct {
 
 	// Waterfill active sets: the monotone scheme only ever lowers
 	// throttles, so loads only ever drop and the over-capacity element set
-	// only shrinks — each round touches the congested neighborhood, not
-	// the whole network. Stamps dedupe the per-round worklists; stamp
-	// values are never reused (see waterfill's wrap guard).
+	// only shrinks.
 	overElems []int32 // elements still loaded past capacity
-	cand      []int32 // flows crossing an over-capacity element this round
-	dirty     []int32 // elements whose incident flows were rescaled
-	flowStamp []int32
-	elemStamp []int32
-	stamp     int32
+	cand      []int32 // flows a sparse round throttles
 
 	// Persistent phase closures, built once so solves allocate nothing.
-	traceFn, loadFn, scaleFn, loadListFn func(int)
+	traceFn, loadFn, overLoadFn, scaleFn, scaleAllFn, waitFn, latFn func(int)
 
 	starts []int64
 	accum  flowAccum
@@ -240,15 +268,16 @@ func (n *Network) flowSolver() *flowSolver {
 		load:       make([]float64, elems),
 		cap:        make([]float64, elems),
 		ser:        make([]float64, elems),
+		wait:       make([]float64, elems),
 		elemOff:    make([]int32, elems+1),
 		elemCur:    make([]int32, elems),
-		elemStamp:  make([]int32, elems),
-		traceBufs:  make([][]int32, 1),
+		traceWrk:   make([]traceScratch, 1),
 		workers:    1,
 	}
 	//sldf:hotpath
 	fl.traceFn = func(w int) {
-		buf := fl.traceBufs[w][:0]
+		s := &fl.traceWrk[w]
+		s.buf = s.buf[:0]
 		for {
 			i := int(fl.traceNext.Add(1)) - 1
 			if i >= len(fl.pending) {
@@ -256,59 +285,97 @@ func (n *Network) flowSolver() *flowSolver {
 			}
 			e := &fl.cache.entries[fl.pending[i]]
 			src, dst := pairFromKey(e.key)
-			nb, res := n.traceOne(buf, src, dst, fl.traceSize)
+			res := n.traceOne(s, src, dst, fl.traceSize)
 			res.wrk = int32(w)
 			fl.results[i] = res
-			buf = nb
 		}
-		fl.traceBufs[w] = buf
 	}
 	//sldf:hotpath
 	fl.loadFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.load), fl.workers, w)
 		for el := lo; el < hi; el++ {
-			s := 0.0
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				f := &fl.flows[fl.elemFlow[k]]
-				s += f.rate * f.x
-			}
-			fl.load[el] = s
+			fl.load[el] = fl.elemLoad(int32(el))
+		}
+	}
+	//sldf:hotpath
+	fl.overLoadFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.overElems), fl.workers, w)
+		for _, el := range fl.overElems[lo:hi] {
+			fl.load[el] = fl.elemLoad(el)
 		}
 	}
 	//sldf:hotpath
 	fl.scaleFn = func(w int) {
 		lo, hi := engine.ShardBounds(len(fl.cand), fl.workers, w)
-		for i := lo; i < hi; i++ {
-			f := &fl.flows[fl.cand[i]]
-			e := &fl.cache.entries[f.entry]
-			scale := 1.0
-			for _, el := range fl.cache.path[e.off : e.off+e.n] {
-				if fl.load[el] > fl.cap[el] {
-					if s := fl.cap[el] / fl.load[el]; s < scale {
-						scale = s
-					}
-				}
-			}
-			if scale < 1 {
-				f.x *= scale
-			}
+		for _, fi := range fl.cand[lo:hi] {
+			fl.applyScale(fi)
 		}
 	}
 	//sldf:hotpath
-	fl.loadListFn = func(w int) {
-		lo, hi := engine.ShardBounds(len(fl.dirty), fl.workers, w)
-		for i := lo; i < hi; i++ {
-			el := fl.dirty[i]
-			s := 0.0
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				f := &fl.flows[fl.elemFlow[k]]
-				s += f.rate * f.x
+	fl.scaleAllFn = func(w int) {
+		// This worker owns flows [lo, hi): it gathers their worst ratios
+		// from the over-capacity elements' incidence lists (sorted by flow,
+		// so a binary search finds the range), then scales them.
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for _, el := range fl.overElems {
+			r := fl.cap[el] / fl.load[el]
+			inc := fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]]
+			k, _ := slices.BinarySearch(inc, int32(lo))
+			for _, fi := range inc[k:] {
+				if int(fi) >= hi {
+					break
+				}
+				if r < fl.scale[fi] {
+					fl.scale[fi] = r
+				}
 			}
-			fl.load[el] = s
+		}
+		for fi := lo; fi < hi; fi++ {
+			fl.applyScale(int32(fi))
+		}
+	}
+	//sldf:hotpath
+	fl.waitFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.wait), fl.workers, w)
+		for el := lo; el < hi; el++ {
+			fl.wait[el] = fl.waitTerm(el)
+		}
+	}
+	//sldf:hotpath
+	fl.latFn = func(w int) {
+		lo, hi := engine.ShardBounds(len(fl.flows), fl.workers, w)
+		for i := lo; i < hi; i++ {
+			fl.lat[i] = fl.latency(&fl.flows[i])
 		}
 	}
 	n.flow = fl
 	return fl
+}
+
+// elemLoad is element el's load: the fixed-order sum of its incident flows'
+// delivered rates.
+//
+//sldf:hotpath
+func (fl *flowSolver) elemLoad(el int32) float64 {
+	s := 0.0
+	for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
+		s += fl.d[fi]
+	}
+	return s
+}
+
+// applyScale throttles flow fi by its gathered worst ratio, refreshes its
+// delivered rate and resets the ratio to 1. A flow that crosses no
+// over-capacity element still holds 1 and stays unchanged.
+//
+//sldf:hotpath
+func (fl *flowSolver) applyScale(fi int32) {
+	if s := fl.scale[fi]; s < 1 {
+		f := &fl.flows[fi]
+		f.x *= s
+		fl.d[fi] = float64(f.rate * f.x)
+		fl.scale[fi] = 1
+	}
 }
 
 // SetFlowWorkers sets the flow solver's parallelism (1 = serial; <=0 is
@@ -332,8 +399,8 @@ func (n *Network) SetFlowWorkers(w int) {
 	if w > 1 {
 		fl.pool = engine.NewPool(w)
 	}
-	for len(fl.traceBufs) < w {
-		fl.traceBufs = append(fl.traceBufs, nil)
+	for len(fl.traceWrk) < w {
+		fl.traceWrk = append(fl.traceWrk, traceScratch{})
 	}
 }
 
@@ -378,53 +445,57 @@ func (fl *flowSolver) run(fn func(int)) {
 
 // traceOne runs the installed RouteFunc over a phantom packet from srcNode
 // to dstNode, appending the links crossed (and the terminal ejection
-// element) to buf. Randomized routing decisions draw from a stream derived
+// element) to s.buf. Randomized routing decisions draw from a stream derived
 // from the (srcNode, dstNode) pair, so the trace is a pure function of the
 // network state — independent of trace order and safe to run concurrently.
 // res.ok is false when the route dead-ends, crosses a disabled component,
 // or exceeds flowMaxHops; the caller accounts such flows as refused.
-func (n *Network) traceOne(buf []int32, srcNode, dstNode NodeID, size int32) ([]int32, traceResult) {
-	rng := engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
-	p := Packet{
+func (n *Network) traceOne(s *traceScratch, srcNode, dstNode NodeID, size int32) traceResult {
+	s.rng = engine.NewRNGStream(n.seed^flowTraceSeed, pairKey(srcNode, dstNode))
+	s.pkt = Packet{
 		SrcChip: n.Routers[srcNode].Chip, DstChip: n.Routers[dstNode].Chip,
 		SrcNode: srcNode, DstNode: dstNode,
 		Size: size, Aux: -1, Aux2: -1,
-		TraceRNG: &rng,
+		TraceRNG: &s.rng,
 	}
+	p := &s.pkt
 	var res traceResult
-	res.off = int32(len(buf))
+	res.off = int32(len(s.buf))
 	ejBase := int32(len(n.Links))
 	r := &n.Routers[srcNode]
 	for hop := 0; hop < flowMaxHops; hop++ {
-		out, vc := n.route(n, r, &p)
+		out, vc := n.route(n, r, p)
 		if out < 0 || out >= len(r.Out) {
-			return buf[:res.off], res
+			break
 		}
 		l := r.Out[out].Link
 		if l == nil {
 			// Ejection: the terminal serializes the whole packet at one
 			// flit per cycle, exactly like Router.allocate.
-			buf = append(buf, ejBase+int32(r.ID))
+			s.buf = append(s.buf, ejBase+int32(r.ID))
 			res.n++
 			res.base += int64(size)
 			res.hops[HopEject]++
 			res.ok = true
-			return buf, res
+			return res
 		}
 		if l.Disabled || n.Routers[l.Dst].Disabled {
-			return buf[:res.off], res
+			break
 		}
 		p.VC = vc
 		p.Hops[l.Class]++
 		res.hops[l.Class]++
-		buf = append(buf, l.ID)
+		s.buf = append(s.buf, l.ID)
 		res.n++
 		// Wire + the one-cycle handoff into the next router's input buffer
 		// (the cycle engines deliver at now + Delay + 1).
 		res.base += int64(l.Delay) + 1
 		r = &n.Routers[l.Dst]
 	}
-	return buf[:res.off], res
+	// A failed trace keeps no path: the caller refuses the flow.
+	s.buf = s.buf[:res.off]
+	res.n = 0
+	return res
 }
 
 // tracePending traces every reserved cache entry, fanning the independent
@@ -454,7 +525,7 @@ func (n *Network) tracePending(fl *flowSolver, size int32) {
 		e.hops = res.hops
 		e.ok = res.ok
 		e.traced = true
-		c.path = append(c.path, fl.traceBufs[res.wrk][res.off:res.off+res.n]...)
+		c.path = append(c.path, fl.traceWrk[res.wrk].buf[res.off:res.off+res.n]...)
 	}
 	c.gen++
 	fl.stats.Traces += int64(len(fl.pending))
@@ -516,8 +587,7 @@ func (n *Network) flowBuildFlows(fl *flowSolver, demands []FlowDemand, size int3
 // flowShape hashes the solve's flow structure: the element space, the
 // cache generation (any re-trace or eviction changes it, so an unchanged
 // hash guarantees unchanged paths) and the per-flow cache entries. Equal
-// shapes mean the incidence transpose — and, for throttle seeding, the
-// flow indexing — carry over from the previous solve.
+// shapes mean the incidence transpose carries over from the previous solve.
 func (fl *flowSolver) flowShape() uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -591,71 +661,72 @@ func (fl *flowSolver) setCapacities(n *Network, size int32) {
 // and pins the bottleneck elements at capacity above it.
 //
 // The fixpoint is monotone — throttles only ever drop, so loads only ever
-// drop and an element that reaches capacity never leaves it again. That
-// lets each round work active sets instead of the whole network, with
-// bit-identical results: a flow touching no over-capacity element would
-// scale by exactly 1, and an element none of whose incident flows changed
-// would recompute its fixed-order load reduction to exactly the stored
-// value. All passes partition work across the solver pool; neither
-// partitioning affects the result bits.
+// drop (float addition is monotone) and an element at or under capacity
+// never crosses it again. A round therefore reads only the loads of the
+// over-capacity elements: it gathers each crossing flow's worst ratio from
+// their incidence lists, throttles those flows, and recomputes just the
+// over-capacity loads to filter the set. Every other load is recomputed
+// once, after the last round. Each load is a fixed-order reduction over the
+// current delivered rates, so deferring it changes no bit.
+//
+// A round is dense or sparse, chosen from the work it would do. When the
+// over-capacity elements' incidence count reaches the flow count, each
+// worker gathers the ratios for its own flow range and then sweeps that
+// range in order; otherwise the ratios are gathered serially into a list
+// of the flows to throttle. Both shapes apply the same minima. All passes
+// partition work across the solver pool; no partitioning affects the bits.
 //
 //sldf:hotpath
 func (fl *flowSolver) waterfill() {
+	if cap(fl.d) < len(fl.flows) {
+		fl.d = make([]float64, len(fl.flows)) //sldf:alloc-ok one-time per-flow vector growth; steady state reuses capacity
+	}
+	if cap(fl.scale) < len(fl.flows) {
+		fl.scale = make([]float64, len(fl.flows)) //sldf:alloc-ok one-time per-flow vector growth; steady state reuses capacity
+	}
+	fl.d = fl.d[:len(fl.flows)]
+	fl.scale = fl.scale[:len(fl.flows)]
+	for i := range fl.flows {
+		fl.d[i] = float64(fl.flows[i].rate * fl.flows[i].x)
+		fl.scale[i] = 1
+	}
 	fl.run(fl.loadFn)
-	if cap(fl.flowStamp) < len(fl.flows) {
-		fl.flowStamp = make([]int32, len(fl.flows)) //sldf:alloc-ok one-time stamp-array growth; steady state reuses capacity
-	}
-	fl.flowStamp = fl.flowStamp[:len(fl.flows)]
-	if fl.stamp > 1<<30 {
-		// Stamp values are never reused, so a (practically unreachable)
-		// wraparound clears the dedupe arrays instead of risking collision.
-		fl.stamp = 0
-		for i := range fl.flowStamp {
-			fl.flowStamp[i] = 0
-		}
-		for i := range fl.elemStamp {
-			fl.elemStamp[i] = 0
-		}
-	}
 	fl.overElems = fl.overElems[:0]
 	for el := range fl.load {
 		if fl.load[el] > fl.cap[el] {
 			fl.overElems = append(fl.overElems, int32(el))
 		}
 	}
+	if len(fl.overElems) == 0 {
+		return // below saturation the loads are already final
+	}
 	for iter := 0; len(fl.overElems) > 0 && iter < flowWaterfillIters; iter++ {
 		fl.stats.WaterfillIters++
-		// Candidate flows: exactly those crossing an over-capacity element
-		// (every one of them has a worst ratio < 1 and will throttle).
-		fl.stamp++
-		fl.cand = fl.cand[:0]
+		incidence := 0
 		for _, el := range fl.overElems {
-			for k := fl.elemOff[el]; k < fl.elemOff[el+1]; k++ {
-				fi := fl.elemFlow[k]
-				if fl.flowStamp[fi] != fl.stamp {
-					fl.flowStamp[fi] = fl.stamp
-					fl.cand = append(fl.cand, fi)
+			incidence += int(fl.elemOff[el+1] - fl.elemOff[el])
+		}
+		if incidence >= len(fl.flows) {
+			fl.stats.DenseRounds++
+			fl.run(fl.scaleAllFn)
+		} else {
+			// Candidates: the flows whose worst ratio drops below 1, each
+			// listed once, when its ratio first does.
+			fl.cand = fl.cand[:0]
+			for _, el := range fl.overElems {
+				r := fl.cap[el] / fl.load[el]
+				for _, fi := range fl.elemFlow[fl.elemOff[el]:fl.elemOff[el+1]] {
+					if s := fl.scale[fi]; r < s {
+						if s == 1 {
+							fl.cand = append(fl.cand, fi)
+						}
+						fl.scale[fi] = r
+					}
 				}
 			}
+			fl.run(fl.scaleFn)
 		}
-		fl.run(fl.scaleFn)
-		// Dirty elements: those sharing a flow with the throttled set; each
-		// recomputes its full fixed-order reduction, so the refreshed loads
-		// are bit-identical to a whole-network load pass.
-		fl.stamp++
-		fl.dirty = fl.dirty[:0]
-		for _, fi := range fl.cand {
-			e := &fl.cache.entries[fl.flows[fi].entry]
-			for _, el := range fl.cache.path[e.off : e.off+e.n] {
-				if fl.elemStamp[el] != fl.stamp {
-					fl.elemStamp[el] = fl.stamp
-					fl.dirty = append(fl.dirty, el)
-				}
-			}
-		}
-		fl.run(fl.loadListFn)
-		// Monotonicity: no element outside the set can have crossed
-		// capacity, so filtering the old set is the full rescan.
+		fl.run(fl.overLoadFn)
 		w := 0
 		for _, el := range fl.overElems {
 			if fl.load[el] > fl.cap[el] {
@@ -665,24 +736,34 @@ func (fl *flowSolver) waterfill() {
 		}
 		fl.overElems = fl.overElems[:w]
 	}
+	fl.run(fl.loadFn)
+}
+
+// waitTerm is element el's M/D/1 waiting time at its solved utilization,
+// capped near saturation so the estimate stays finite; an idle element
+// adds exactly 0.
+//
+//sldf:hotpath
+func (fl *flowSolver) waitTerm(el int) float64 {
+	rho := fl.load[el] / fl.cap[el]
+	if rho > flowRhoCap {
+		rho = flowRhoCap
+	}
+	if rho > 0 {
+		return rho / (2 * (1 - rho)) * fl.ser[el]
+	}
+	return 0
 }
 
 // latency returns flow f's modeled end-to-end latency: the uncontended
-// base plus an M/D/1 waiting term per traversed element at its solved
-// utilization, capped near saturation so the estimate stays finite.
+// base plus the waiting term of every traversed element (see waitTerm).
 //
 //sldf:hotpath
 func (fl *flowSolver) latency(f *flowFlow) float64 {
 	e := &fl.cache.entries[f.entry]
 	lat := float64(e.base)
 	for _, el := range fl.cache.path[e.off : e.off+e.n] {
-		rho := fl.load[el] / fl.cap[el]
-		if rho > flowRhoCap {
-			rho = flowRhoCap
-		}
-		if rho > 0 {
-			lat += rho / (2 * (1 - rho)) * fl.ser[el]
-		}
+		lat += fl.wait[el]
 	}
 	return lat
 }
@@ -725,23 +806,30 @@ func (a *flowAccum) reset(links int) {
 	a.faint = a.faint[:0]
 }
 
-// accumulate folds one solved segment of cyc cycles into the totals.
-func (a *flowAccum) accumulate(fl *flowSolver, n *Network, size int32, refusedRate float64, cyc int64) {
+// accumulate folds one solved segment of cyc cycles into the totals. The
+// per-flow latencies are computed in parallel first; the fold itself runs
+// serially in flow order, so the float sums do not depend on the workers.
+func (a *flowAccum) accumulate(fl *flowSolver, size int32, refusedRate float64, cyc int64) {
 	c := float64(cyc)
 	a.refusedPkts += refusedRate * c / float64(size)
 	for i := range a.linkFlits {
 		a.linkFlits[i] += fl.load[i] * c
 	}
+	if cap(fl.lat) < len(fl.flows) {
+		fl.lat = make([]float64, len(fl.flows)) //sldf:alloc-ok one-time per-flow vector growth; steady state reuses capacity
+	}
+	fl.lat = fl.lat[:len(fl.flows)]
+	fl.run(fl.waitFn)
+	fl.run(fl.latFn)
 	for i := range fl.flows {
-		f := &fl.flows[i]
-		delivered := f.rate * f.x * c
+		delivered := fl.d[i] * c
 		if delivered <= 0 {
 			continue
 		}
-		e := &fl.cache.entries[f.entry]
+		e := &fl.cache.entries[fl.flows[i].entry]
 		a.deliveredFlits += delivered
 		pkts := delivered / float64(size)
-		lat := fl.latency(f)
+		lat := fl.lat[i]
 		a.netLatSum += pkts * lat
 		for h := 0; h < int(NumHopClasses); h++ {
 			a.hops[h] += pkts * float64(e.hops[h])
@@ -789,11 +877,20 @@ func (a *flowAccum) finish() {
 // routing) and re-solves, and the reported statistics are the
 // segment-length-weighted aggregate.
 func (n *Network) SolveFlow(opts FlowOptions) error {
+	return n.solveFlow(opts, (*flowSolver).waterfill)
+}
+
+// solveFlow is SolveFlow with the throttle fixpoint passed in, so tests can
+// solve the same window with a reference waterfill.
+func (n *Network) solveFlow(opts FlowOptions, waterfill func(*flowSolver)) error {
 	if n.engineKind != EngineFlow {
 		return fmt.Errorf("%w: SolveFlow on engine %v", ErrFlowEngine, n.engineKind)
 	}
 	if opts.Demands == nil || opts.PacketSize <= 0 || opts.Measure <= 0 || opts.Warmup < 0 {
 		return fmt.Errorf("%w: need Demands, PacketSize > 0, Measure > 0, Warmup >= 0", ErrFlowEngine)
+	}
+	if opts.SeedThrottles {
+		return ErrSeedThrottlesRetired
 	}
 	size := opts.PacketSize
 	horizon := opts.Warmup + opts.Measure
@@ -857,33 +954,16 @@ func (n *Network) SolveFlow(opts FlowOptions) error {
 			fl.buildTranspose()
 			fl.shape = shape
 		}
-		if opts.SeedThrottles && shape == fl.prevShape && len(fl.prevX) == len(fl.flows) {
-			for j := range fl.flows {
-				f := &fl.flows[j]
-				if x0 := fl.prevX[j] * fl.prevRate[j] / f.rate; x0 < 1 {
-					f.x = x0
-				}
-			}
-		}
 		t := time.Now() //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
 		flowPhaseWaterfill.Enter()
-		fl.waterfill()
+		waterfill(fl)
 		profiling.ExitPhase()
 		fl.stats.WaterfillWall += time.Since(t) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
 		t = time.Now()                          //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
 		flowPhaseHist.Enter()
-		acc.accumulate(fl, n, size, refused, cyc)
+		acc.accumulate(fl, size, refused, cyc)
 		profiling.ExitPhase()
 		fl.stats.HistWall += time.Since(t) //sldf:nondeterministic-ok FlowSolverStats wall-clock diagnostics, never part of measured results
-		if opts.SeedThrottles {
-			fl.prevX = fl.prevX[:0]
-			fl.prevRate = fl.prevRate[:0]
-			for j := range fl.flows {
-				fl.prevX = append(fl.prevX, fl.flows[j].x)
-				fl.prevRate = append(fl.prevRate, fl.flows[j].rate)
-			}
-			fl.prevShape = shape
-		}
 	}
 
 	acc.finish()

@@ -190,3 +190,35 @@ func TestFlowSolveSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
 	}
 }
+
+// TestFlowColdSolveSteadyStateAllocs extends the zero-allocation contract to
+// forced-cold solves: once the retained buffers are warm, discarding the
+// trace cache and re-tracing every route allocates nothing either — each
+// trace's phantom packet and RNG stream live in per-worker scratch.
+func TestFlowColdSolveSteadyStateAllocs(t *testing.T) {
+	const n = 8
+	net := buildRing(t, n)
+	defer net.Close()
+	net.SetEngine(EngineFlow)
+	demands := ringDemands(n, 0.05)
+	opts := FlowOptions{
+		Demands:    func() []FlowDemand { return demands },
+		PacketSize: 4, Warmup: 100, Measure: 200, Cold: true,
+	}
+	cycle := func() {
+		if err := net.SolveFlow(opts); err != nil {
+			t.Fatal(err)
+		}
+		net.Reset()
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	before := net.FlowSolverStats().Traces
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("cold SolveFlow+Reset allocates %v times per run in steady state, want 0", allocs)
+	}
+	if net.FlowSolverStats().Traces == before {
+		t.Fatal("cold solves traced nothing")
+	}
+}

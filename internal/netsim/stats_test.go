@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStatsZeroValues(t *testing.T) {
 	var st Stats
@@ -104,5 +107,34 @@ func TestArenaSlotReuse(t *testing.T) {
 	alloc, free := n.ArenaSlots()
 	if alloc != arenaChunkSize || free != arenaChunkSize-1 {
 		t.Fatalf("slots: alloc %d free %d", alloc, free)
+	}
+}
+
+// TestBucketIndexMatchesBitScan pins bucketIndex against the highest-set-bit
+// scan it replaced, on every power-of-two boundary and its neighbours.
+func TestBucketIndexMatchesBitScan(t *testing.T) {
+	scan := func(v int64) int {
+		if v < 0 {
+			v = 0
+		}
+		if v < 8 {
+			return int(v)
+		}
+		hi := 63
+		for v>>uint(hi)&1 == 0 {
+			hi--
+		}
+		idx := (hi-2)*8 + int((v>>uint(hi-3))&7)
+		return min(idx, len(LatencyHist{}.Buckets)-1)
+	}
+	vals := []int64{-5, 0, 1, 7, 8, 9, 100, 1000, 12345, math.MaxInt64}
+	for b := 3; b < 63; b++ {
+		p := int64(1) << b
+		vals = append(vals, p-1, p, p+1, p+p/3)
+	}
+	for _, v := range vals {
+		if got, want := bucketIndex(v), scan(v); got != want {
+			t.Errorf("bucketIndex(%d) = %d, want %d", v, got, want)
+		}
 	}
 }
